@@ -4,34 +4,11 @@
 #   make test          fast test sweep (no race detector)
 #   make bench         the full benchmark suite, 1 iteration each
 #   make table4        regenerate the paper's Table 4 (+ cache before/after + JSON)
-#   make bench-regress re-run perfbench and fail if any figure's cached
-#                      kgdb_ms regressed >25% (+50ms slack) vs BENCH_1.json,
-#                      the slow-link (PacketSize=512 RSP) cost regressed
-#                      vs BENCH_3.json, the steady-state incremental
-#                      cost regressed vs BENCH_4.json (same 25%/50ms gate,
-#                      plus a 0.9 box reuse-ratio floor), the compiled
-#                      engine's same-run CPU speedup over the tree-walking
-#                      interpreter fell below 3x / the steady round started
-#                      allocating (BENCH_6_CUR.json, absolute floors), or
-#                      the stream fan-out plane regressed: worst fast-client
-#                      p95 push latency above 250ms, a fast client losing
-#                      frames, or slow consumers failing to coalesce
-#                      (BENCH_7_CUR.json, absolute ceilings/floors), or the
-#                      multi-tenant session fabric regressed: worst
-#                      session's request p95 above 250ms, a hot session
-#                      inflating a victim's round more than 8x, or fleet
-#                      admission re-parsing/re-compiling the ViewCL stdlib
-#                      at all (BENCH_8_CUR.json, absolute ceilings + exact
-#                      zeros), or the CoW fleet memory regressed: dedup
-#                      ratio below 3x, fork admission slower than build
-#                      admission, worst session request p95 above 250ms,
-#                      or the template-fork/zero-copy fast paths idle
-#                      (BENCH_9_CUR.json, exact floor + same-run
-#                      comparison), or the fleet-query fan-out regressed:
-#                      16-target mixed-fleet p95 above 100ms, a target
-#                      unhealthy or the core dumps missing, or the merge
-#                      empty/untagged (BENCH_10_CUR.json, absolute ceiling
-#                      + exact shape)
+#   make bench-regress re-run perfbench, which writes every bench report and
+#                      fails if one breaks its bounds (the constants block
+#                      in internal/perf/check.go), then compare BENCH_1/3/4
+#                      per figure against the committed baselines with
+#                      cmd/benchguard (>25% and >50 ms slower fails)
 #   make table6        regenerate the compiled-vs-interpreted CPU report
 #                      (BENCH_6.json)
 #   make table7        regenerate the stream fan-out push-latency report
@@ -81,12 +58,7 @@ bench-regress:
 	$(GO) run ./cmd/perfbench -json BENCH_2.json -rspjson BENCH_3_CUR.json -steadyjson BENCH_4_CUR.json -cpujson BENCH_6_CUR.json -streamjson BENCH_7_CUR.json -tenantjson BENCH_8_CUR.json -memjson BENCH_9_CUR.json -fleetjson BENCH_10_CUR.json > /dev/null
 	$(GO) run ./cmd/benchguard BENCH_1.json BENCH_2.json
 	$(GO) run ./cmd/benchguard BENCH_3.json BENCH_3_CUR.json
-	$(GO) run ./cmd/benchguard -reusefloor 0.9 BENCH_4.json BENCH_4_CUR.json
-	$(GO) run ./cmd/benchguard -speedupfloor 3 -allocceil 16 BENCH_6_CUR.json
-	$(GO) run ./cmd/benchguard -pushp95ceil 250 BENCH_7_CUR.json
-	$(GO) run ./cmd/benchguard -tenantp95ceil 250 -isolationceil 8 BENCH_8_CUR.json
-	$(GO) run ./cmd/benchguard -dedupfloor 3 -forkadmitceil BENCH_9_CUR.json
-	$(GO) run ./cmd/benchguard -fleetp95ceil 100 -fleettargets 16 BENCH_10_CUR.json
+	$(GO) run ./cmd/benchguard BENCH_4.json BENCH_4_CUR.json
 
 table4:
 	$(GO) run ./cmd/perfbench -json BENCH_1.json

@@ -1,515 +1,124 @@
-// Command benchguard is the bench-regression smoke gate of `make ci`: it
-// compares two perfbench JSON outputs (see cmd/perfbench -json) and fails
-// when any figure's cached-KGDB extraction cost regressed beyond the
-// threshold against the baseline.
+// Command benchguard is the per-figure regression gate of `make ci`: it
+// compares a fresh perfbench run against its committed baseline.
 //
 // Usage:
 //
-//	benchguard [-threshold 1.25] [-slack 50] BENCH_1.json BENCH_2.json
-//	benchguard -reusefloor 0.8 BENCH_4.base.json BENCH_4.json
-//	benchguard -speedupfloor 3 -allocceil 16 BENCH_6.json
-//	benchguard -pushp95ceil 250 BENCH_7.json
-//	benchguard -tenantp95ceil 250 -isolationceil 8 BENCH_8.json
-//	benchguard -dedupfloor 3 -forkadmitceil BENCH_9.json
-//	benchguard -fleetp95ceil 100 -fleettargets 16 BENCH_10.json
+//	benchguard BASELINE.json CURRENT.json
 //
-// Four file shapes are understood: the flat per-figure array written by
-// perfbench -json / -rspjson (gated on kgdb_ms), the steady-state
-// report written by perfbench -steadyjson (gated on each row's
-// steady_kgdb_ms, plus the whole-run reuse_ratio when -reusefloor is set),
-// the CPU report written by perfbench -cpujson, and the stream fan-out
-// report written by perfbench -streamjson, and the multi-tenant
-// session-fabric report written by perfbench -tenantjson. The CPU gate takes a
-// single file: cpu_speedup is a same-run compiled-vs-interpreted ratio and
-// steady_round_allocs_op a runtime counter, so they are judged against
-// absolute floors rather than a baseline file whose wall-clock milliseconds
-// would not transfer across hosts. The stream gate is single-file for the
-// same reason: push latencies are wall-clock, so it checks an absolute p95
-// ceiling (-pushp95ceil), a fast-client delivery-ratio floor
-// (-deliveryfloor, default 0.999), and that the slow consumers in the mix
-// actually coalesced — proof backpressure degraded them to latest-wins
-// instead of stalling the plane. The tenant gate (-tenantp95ceil) is
-// single-file too: it checks the worst session's request p95 against an
-// absolute wall-clock ceiling, the victim-vs-hot isolation ratio against
-// -isolationceil, and — exactly, no tolerance — that admitting the fleet
-// after the first session cost zero stdlib re-parses and re-compiles,
-// which is the shared-immutable-infrastructure contract. The fleet-memory
-// gate (-dedupfloor) is single-file as well: the dedup ratio is
-// deterministic byte accounting (private-sum over unique-resident), so it
-// takes an exact floor; -forkadmitceil additionally requires fork-admission
-// p95 to be no slower than build-admission p95 — both arms measured in the
-// same run on the same host, so the comparison transfers — and the worst
-// session's request p95 to stay under -memp95ceil. The fleet-query gate
-// (-fleetp95ceil) checks the cross-target fan-out p95 against an absolute
-// wall-clock ceiling and — exactly — the fleet shape (-fleettargets targets,
-// all healthy, core dumps present) and merge integrity (a non-empty merged
-// set with provenance on every ref).
-//
-// The modeled-latency columns are deterministic workload properties, but
-// they still carry a wall-clock component, so tiny figures are judged with
-// an absolute slack: a figure only fails when it is both >threshold× slower
-// and more than -slack ms above baseline.
+// It reads the per-figure array of perfbench -json / -rspjson (BENCH_1,
+// BENCH_3; kgdb_ms) or the rows of perfbench -steadyjson (BENCH_4;
+// steady_kgdb_ms). The costs carry a wall-clock component, so a figure
+// fails only when it is both over maxRatio× its baseline and over slackMS
+// above it; a zero baseline bounds no ratio, so the slack alone decides. A
+// figure missing from the current run fails; a new one passes. The other
+// reports' bounds are checked by perfbench itself; see
+// internal/perf/check.go.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"math"
 	"os"
 )
 
-// record mirrors perfbench's benchRecord fields benchguard needs.
-type record struct {
-	Figure string  `json:"figure"`
-	KGDBMs float64 `json:"kgdb_ms"`
-}
+const (
+	maxRatio = 1.25 // current/baseline above which a figure may fail
+	slackMS  = 50   // regressions no larger than this never fail
+)
 
-// steadyFile mirrors the perf.SteadyReport fields benchguard needs: the
-// per-figure steady-state link cost and the run-wide box reuse ratio.
-type steadyFile struct {
-	Rows []struct {
-		Figure   string  `json:"figure"`
-		SteadyMS float64 `json:"steady_kgdb_ms"`
-	} `json:"rows"`
-	ReuseRatio float64 `json:"reuse_ratio"`
-}
-
-// bench is one loaded file: per-figure costs plus, for steady-state
-// reports, the reuse ratio.
-type bench struct {
-	recs       map[string]record
-	reuseRatio float64
-	steady     bool
+// cost is one figure's modeled link cost in ms.
+type cost struct {
+	figure string
+	ms     float64
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 1.25, "max allowed kgdb_ms ratio vs baseline")
-	slack := flag.Float64("slack", 50, "absolute slack in ms (regressions smaller than this never fail)")
-	reuseFloor := flag.Float64("reusefloor", 0, "min reuse_ratio for steady-state reports (0 disables)")
-	speedupFloor := flag.Float64("speedupfloor", 0, "min same-run cpu_speedup for CPU reports (0 disables; single-file mode)")
-	allocCeil := flag.Float64("allocceil", -1, "max steady_round_allocs_op for CPU reports (negative disables; single-file mode)")
-	pushP95Ceil := flag.Float64("pushp95ceil", 0, "max p95_push_ms for stream fan-out reports (0 disables; single-file mode)")
-	deliveryFloor := flag.Float64("deliveryfloor", 0.999, "min fast_delivery_ratio for stream fan-out reports (with -pushp95ceil)")
-	tenantP95Ceil := flag.Float64("tenantp95ceil", 0, "max worst_session_req_p95_ms for multi-tenant reports (0 disables; single-file mode)")
-	isolationCeil := flag.Float64("isolationceil", 8, "max victim-vs-hot isolation_ratio for multi-tenant reports (with -tenantp95ceil)")
-	dedupFloor := flag.Float64("dedupfloor", 0, "min dedup_ratio for fleet-memory reports (0 disables; single-file mode)")
-	forkAdmitCeil := flag.Bool("forkadmitceil", false, "require fork_admit_p95_ms <= build_admit_p95_ms for fleet-memory reports (with -dedupfloor)")
-	memP95Ceil := flag.Float64("memp95ceil", 250, "max worst_session_req_p95_ms for fleet-memory reports (with -dedupfloor)")
-	fleetP95Ceil := flag.Float64("fleetp95ceil", 0, "max fanout_p95_ms for fleet-query reports (0 disables; single-file mode)")
-	fleetTargetsWant := flag.Int("fleettargets", 16, "required target count for fleet-query reports (with -fleetp95ceil)")
-	flag.Parse()
-	if *fleetP95Ceil > 0 {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchguard -fleetp95ceil 100 [-fleettargets 16] BENCH_10.json")
-			os.Exit(2)
-		}
-		guardFleet(flag.Arg(0), *fleetP95Ceil, *fleetTargetsWant)
-		return
-	}
-	if *dedupFloor > 0 {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchguard -dedupfloor 3 [-forkadmitceil] [-memp95ceil 250] BENCH_9.json")
-			os.Exit(2)
-		}
-		guardFleetMem(flag.Arg(0), *dedupFloor, *forkAdmitCeil, *memP95Ceil)
-		return
-	}
-	if *tenantP95Ceil > 0 {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchguard -tenantp95ceil 250 [-isolationceil 8] BENCH_8.json")
-			os.Exit(2)
-		}
-		guardTenants(flag.Arg(0), *tenantP95Ceil, *isolationCeil)
-		return
-	}
-	if *pushP95Ceil > 0 {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchguard -pushp95ceil 250 [-deliveryfloor 0.999] BENCH_7.json")
-			os.Exit(2)
-		}
-		guardStream(flag.Arg(0), *pushP95Ceil, *deliveryFloor)
-		return
-	}
-	if *speedupFloor > 0 || *allocCeil >= 0 {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchguard -speedupfloor 3 [-allocceil 16] BENCH_6.json")
-			os.Exit(2)
-		}
-		guardCPU(flag.Arg(0), *speedupFloor, *allocCeil)
-		return
-	}
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchguard [-threshold 1.25] [-slack 50] [-reusefloor 0.8] BASELINE.json CURRENT.json")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchguard BASELINE.json CURRENT.json")
 		os.Exit(2)
 	}
-	base, err := load(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: baseline: %v\n", err)
-		os.Exit(2)
+	var files [2][]cost
+	for i, path := range os.Args[1:] {
+		var err error
+		if files[i], err = load(path); err != nil {
+			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
+			os.Exit(2)
+		}
 	}
-	cur, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: current: %v\n", err)
-		os.Exit(2)
+	lines, ok := compare(files[0], files[1])
+	for _, l := range lines {
+		fmt.Println("benchguard:", l)
 	}
+	if !ok {
+		fmt.Println("benchguard: FAIL")
+		os.Exit(1)
+	}
+	fmt.Println("benchguard: PASS")
+}
 
-	failed := false
-	for _, c := range cur.recs {
-		b, ok := base.recs[c.Figure]
-		if !ok {
-			fmt.Printf("benchguard: %-12s new figure (%.1f ms), no baseline — ok\n", c.Figure, c.KGDBMs)
+// compare judges cur against base figure by figure, in cur's order, then
+// lists the baseline figures cur lacks. ok is false if any figure failed.
+func compare(base, cur []cost) (lines []string, ok bool) {
+	baseMS := make(map[string]float64, len(base))
+	for _, b := range base {
+		baseMS[b.figure] = b.ms
+	}
+	ok = true
+	for _, c := range cur {
+		b, found := baseMS[c.figure]
+		delete(baseMS, c.figure) // what remains is missing from cur
+		if !found {
+			lines = append(lines, fmt.Sprintf("%-12s new figure (%.1f ms), no baseline — ok", c.figure, c.ms))
 			continue
 		}
-		ratio := 0.0
-		if b.KGDBMs > 0 {
-			ratio = c.KGDBMs / b.KGDBMs
+		ratio := math.Inf(1)
+		if b > 0 {
+			ratio = c.ms / b
 		}
-		if ratio > *threshold && c.KGDBMs-b.KGDBMs > *slack {
-			fmt.Printf("benchguard: %-12s REGRESSED: %.1f ms vs %.1f ms baseline (%.2fx > %.2fx)\n",
-				c.Figure, c.KGDBMs, b.KGDBMs, ratio, *threshold)
-			failed = true
-		} else {
-			fmt.Printf("benchguard: %-12s ok: %.1f ms vs %.1f ms baseline (%.2fx)\n",
-				c.Figure, c.KGDBMs, b.KGDBMs, ratio)
+		verdict := "ok"
+		if ratio > maxRatio && c.ms-b > slackMS {
+			verdict, ok = "REGRESSED", false
 		}
+		lines = append(lines, fmt.Sprintf("%-12s %s: %.1f ms vs %.1f ms baseline (%.2fx)",
+			c.figure, verdict, c.ms, b, ratio))
 	}
-	for fig := range base.recs {
-		if _, ok := cur.recs[fig]; !ok {
-			fmt.Printf("benchguard: %-12s MISSING from current run\n", fig)
-			failed = true
+	for _, b := range base {
+		if _, missing := baseMS[b.figure]; missing {
+			lines = append(lines, fmt.Sprintf("%-12s MISSING from current run", b.figure))
+			ok = false
 		}
 	}
-	if *reuseFloor > 0 {
-		if !cur.steady {
-			fmt.Printf("benchguard: -reusefloor set but %s is not a steady-state report\n", flag.Arg(1))
-			failed = true
-		} else if cur.reuseRatio < *reuseFloor {
-			fmt.Printf("benchguard: reuse_ratio %.3f BELOW floor %.3f\n", cur.reuseRatio, *reuseFloor)
-			failed = true
-		} else {
-			fmt.Printf("benchguard: reuse_ratio %.3f ok (floor %.3f)\n", cur.reuseRatio, *reuseFloor)
-		}
-	}
-	if failed {
-		fmt.Println("benchguard: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchguard: PASS")
+	return lines, ok
 }
 
-// cpuFile mirrors the perf.CPUReport fields the CPU gate needs.
-type cpuFile struct {
-	Rows []struct {
-		Figure  string  `json:"figure"`
-		Speedup float64 `json:"cpu_speedup"`
-	} `json:"rows"`
-	Speedup           float64 `json:"cpu_speedup"`
-	SteadyRoundAllocs float64 `json:"steady_round_allocs_op"`
-}
-
-// guardCPU applies the absolute floors of the CPU personality to one report:
-// the whole-sweep compiled-vs-interpreted speedup (a same-run ratio, so no
-// baseline file is involved) and the steady-round allocation count.
-func guardCPU(path string, speedupFloor, allocCeil float64) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
-	var cf cpuFile
-	if err := json.Unmarshal(blob, &cf); err != nil || len(cf.Rows) == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: not a perfbench -cpujson report\n", path)
-		os.Exit(2)
-	}
-	failed := false
-	if speedupFloor > 0 {
-		if cf.Speedup < speedupFloor {
-			fmt.Printf("benchguard: cpu_speedup %.2fx BELOW floor %.2fx\n", cf.Speedup, speedupFloor)
-			failed = true
-		} else {
-			fmt.Printf("benchguard: cpu_speedup %.2fx ok (floor %.2fx)\n", cf.Speedup, speedupFloor)
-		}
-	}
-	if allocCeil >= 0 {
-		if cf.SteadyRoundAllocs > allocCeil {
-			fmt.Printf("benchguard: steady_round_allocs_op %.0f ABOVE ceiling %.0f\n", cf.SteadyRoundAllocs, allocCeil)
-			failed = true
-		} else {
-			fmt.Printf("benchguard: steady_round_allocs_op %.0f ok (ceiling %.0f)\n", cf.SteadyRoundAllocs, allocCeil)
-		}
-	}
-	if failed {
-		fmt.Println("benchguard: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchguard: PASS")
-}
-
-// streamFile mirrors the perf.StreamReport fields the stream gate needs.
-type streamFile struct {
-	Rows []struct {
-		Mix           string  `json:"mix"`
-		FastP95PushMS float64 `json:"fast_p95_push_ms"`
-		Slow          int     `json:"slow_clients"`
-	} `json:"rows"`
-	P95PushMS         float64 `json:"p95_push_ms"`
-	FastDeliveryRatio float64 `json:"fast_delivery_ratio"`
-	SlowCoalesced     float64 `json:"slow_coalesced"`
-}
-
-// guardStream applies the stream fan-out gates to one report: the worst
-// fast client's p95 push latency against an absolute wall-clock ceiling,
-// the fast delivery ratio against its floor, and — whenever a mix included
-// slow consumers — that they coalesced, which is the backpressure design
-// working as intended.
-func guardStream(path string, p95Ceil, deliveryFloor float64) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
-	var sf streamFile
-	if err := json.Unmarshal(blob, &sf); err != nil || len(sf.Rows) == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: not a perfbench -streamjson report\n", path)
-		os.Exit(2)
-	}
-	failed := false
-	if sf.P95PushMS > p95Ceil {
-		fmt.Printf("benchguard: p95_push_ms %.2f ABOVE ceiling %.2f\n", sf.P95PushMS, p95Ceil)
-		failed = true
-	} else {
-		fmt.Printf("benchguard: p95_push_ms %.2f ok (ceiling %.2f)\n", sf.P95PushMS, p95Ceil)
-	}
-	if sf.FastDeliveryRatio < deliveryFloor {
-		fmt.Printf("benchguard: fast_delivery_ratio %.4f BELOW floor %.4f\n", sf.FastDeliveryRatio, deliveryFloor)
-		failed = true
-	} else {
-		fmt.Printf("benchguard: fast_delivery_ratio %.4f ok (floor %.4f)\n", sf.FastDeliveryRatio, deliveryFloor)
-	}
-	hasSlow := false
-	for _, r := range sf.Rows {
-		if r.Slow > 0 {
-			hasSlow = true
-		}
-	}
-	switch {
-	case hasSlow && sf.SlowCoalesced <= 0:
-		fmt.Println("benchguard: slow consumers present but slow_coalesced is 0 — backpressure never engaged")
-		failed = true
-	case hasSlow:
-		fmt.Printf("benchguard: slow_coalesced %.0f ok (latest-wins engaged)\n", sf.SlowCoalesced)
-	}
-	if failed {
-		fmt.Println("benchguard: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchguard: PASS")
-}
-
-// tenantFile mirrors the perf.TenantReport fields the tenant gate needs.
-type tenantFile struct {
-	Sessions             int     `json:"sessions"`
-	WorstSessionReqP95MS float64 `json:"worst_session_req_p95_ms"`
-	StdlibReparses       uint64  `json:"stdlib_reparses"`
-	StdlibRecompiles     uint64  `json:"stdlib_recompiles"`
-	IsolationRatio       float64 `json:"isolation_ratio"`
-}
-
-// guardTenants applies the session-fabric gates to one report: the worst
-// session's request p95 against an absolute wall-clock ceiling, the
-// victim-vs-hot isolation ratio against its ceiling (the global pool's
-// per-session fairness promise), and exact zeros on the stdlib
-// re-parse/re-compile counters — fleet admission must ride the shared
-// immutable infrastructure, not rebuild it per tenant.
-func guardTenants(path string, p95Ceil, isolationCeil float64) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
-	var tf tenantFile
-	if err := json.Unmarshal(blob, &tf); err != nil || tf.Sessions == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: not a perfbench -tenantjson report\n", path)
-		os.Exit(2)
-	}
-	failed := false
-	if tf.WorstSessionReqP95MS > p95Ceil {
-		fmt.Printf("benchguard: worst_session_req_p95_ms %.2f ABOVE ceiling %.2f\n", tf.WorstSessionReqP95MS, p95Ceil)
-		failed = true
-	} else {
-		fmt.Printf("benchguard: worst_session_req_p95_ms %.2f ok (ceiling %.2f, %d sessions)\n",
-			tf.WorstSessionReqP95MS, p95Ceil, tf.Sessions)
-	}
-	if isolationCeil > 0 {
-		if tf.IsolationRatio > isolationCeil {
-			fmt.Printf("benchguard: isolation_ratio %.2fx ABOVE ceiling %.2fx — a hot session starves its neighbors\n",
-				tf.IsolationRatio, isolationCeil)
-			failed = true
-		} else {
-			fmt.Printf("benchguard: isolation_ratio %.2fx ok (ceiling %.2fx)\n", tf.IsolationRatio, isolationCeil)
-		}
-	}
-	if tf.StdlibReparses != 0 || tf.StdlibRecompiles != 0 {
-		fmt.Printf("benchguard: fleet admission re-parsed the stdlib %d times and re-compiled it %d times; want exactly 0\n",
-			tf.StdlibReparses, tf.StdlibRecompiles)
-		failed = true
-	} else {
-		fmt.Println("benchguard: stdlib re-parses/re-compiles 0/0 ok (shared immutable infrastructure)")
-	}
-	if failed {
-		fmt.Println("benchguard: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchguard: PASS")
-}
-
-// fleetMemFile mirrors the perf.FleetMemReport fields the fleet-memory
-// gate needs.
-type fleetMemFile struct {
-	Sessions             int     `json:"sessions"`
-	ForkAdmitP95MS       float64 `json:"fork_admit_p95_ms"`
-	BuildAdmitP95MS      float64 `json:"build_admit_p95_ms"`
-	WorstSessionReqP95MS float64 `json:"worst_session_req_p95_ms"`
-	DedupRatio           float64 `json:"dedup_ratio"`
-	TemplateForks        uint64  `json:"template_forks"`
-	ZeroCopyFills        uint64  `json:"zero_copy_fills"`
-}
-
-// guardFleetMem applies the CoW fleet-memory gates to one report: the dedup
-// ratio (deterministic byte accounting) against its floor, the same-run
-// fork-vs-build admission p95 comparison, the worst session's request p95
-// against an absolute wall-clock ceiling, and — exactly — that admission
-// actually forked templates and extraction actually took the zero-copy
-// path, so the gate can't pass on a silently disabled fast path.
-func guardFleetMem(path string, dedupFloor float64, forkAdmitCeil bool, p95Ceil float64) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
-	var ff fleetMemFile
-	if err := json.Unmarshal(blob, &ff); err != nil || ff.Sessions == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: not a perfbench -memjson report\n", path)
-		os.Exit(2)
-	}
-	failed := false
-	if ff.DedupRatio < dedupFloor {
-		fmt.Printf("benchguard: dedup_ratio %.2fx BELOW floor %.2fx\n", ff.DedupRatio, dedupFloor)
-		failed = true
-	} else {
-		fmt.Printf("benchguard: dedup_ratio %.2fx ok (floor %.2fx, %d sessions)\n",
-			ff.DedupRatio, dedupFloor, ff.Sessions)
-	}
-	if forkAdmitCeil {
-		if ff.ForkAdmitP95MS > ff.BuildAdmitP95MS {
-			fmt.Printf("benchguard: fork_admit_p95_ms %.3f ABOVE build_admit_p95_ms %.3f — forking lost to rebuilding\n",
-				ff.ForkAdmitP95MS, ff.BuildAdmitP95MS)
-			failed = true
-		} else {
-			fmt.Printf("benchguard: fork_admit_p95_ms %.3f ok (build arm %.3f)\n",
-				ff.ForkAdmitP95MS, ff.BuildAdmitP95MS)
-		}
-	}
-	if p95Ceil > 0 {
-		if ff.WorstSessionReqP95MS > p95Ceil {
-			fmt.Printf("benchguard: worst_session_req_p95_ms %.2f ABOVE ceiling %.2f\n",
-				ff.WorstSessionReqP95MS, p95Ceil)
-			failed = true
-		} else {
-			fmt.Printf("benchguard: worst_session_req_p95_ms %.2f ok (ceiling %.2f)\n",
-				ff.WorstSessionReqP95MS, p95Ceil)
-		}
-	}
-	if ff.TemplateForks == 0 || ff.ZeroCopyFills == 0 {
-		fmt.Printf("benchguard: CoW fast paths idle: template_forks=%d zero_copy_fills=%d; want both > 0\n",
-			ff.TemplateForks, ff.ZeroCopyFills)
-		failed = true
-	} else {
-		fmt.Printf("benchguard: template_forks %d, zero_copy_fills %d ok (fast paths engaged)\n",
-			ff.TemplateForks, ff.ZeroCopyFills)
-	}
-	if failed {
-		fmt.Println("benchguard: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchguard: PASS")
-}
-
-// fleetFile mirrors the perf.FleetReport fields the fleet-query gate needs.
-type fleetFile struct {
-	Targets      int     `json:"targets"`
-	Core         int     `json:"core"`
-	FanoutP95MS  float64 `json:"fanout_p95_ms"`
-	MergedRefs   int     `json:"merged_refs"`
-	HealthyTargs int     `json:"healthy_targets"`
-	TaggedRefs   int     `json:"tagged_refs"`
-}
-
-// guardFleet applies the fleet-query gates to one report: the fan-out p95
-// against an absolute wall-clock ceiling, the exact fleet shape (all
-// targets present and healthy, core dumps included), and the merge
-// integrity counters — a non-empty merged set with provenance on every
-// ref — so the gate can't pass on an empty or untagged merge.
-func guardFleet(path string, p95Ceil float64, wantTargets int) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
-	var ff fleetFile
-	if err := json.Unmarshal(blob, &ff); err != nil || ff.Targets == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: not a perfbench -fleetjson report\n", path)
-		os.Exit(2)
-	}
-	failed := false
-	if ff.FanoutP95MS > p95Ceil {
-		fmt.Printf("benchguard: fanout_p95_ms %.2f ABOVE ceiling %.2f\n", ff.FanoutP95MS, p95Ceil)
-		failed = true
-	} else {
-		fmt.Printf("benchguard: fanout_p95_ms %.2f ok (ceiling %.2f)\n", ff.FanoutP95MS, p95Ceil)
-	}
-	if ff.Targets != wantTargets || ff.HealthyTargs != ff.Targets || ff.Core == 0 {
-		fmt.Printf("benchguard: fleet shape off: %d targets (%d healthy, %d core); want %d, all healthy, core > 0\n",
-			ff.Targets, ff.HealthyTargs, ff.Core, wantTargets)
-		failed = true
-	} else {
-		fmt.Printf("benchguard: fleet shape ok (%d targets, %d core dumps, all healthy)\n",
-			ff.Targets, ff.Core)
-	}
-	if ff.MergedRefs == 0 || ff.TaggedRefs != ff.MergedRefs {
-		fmt.Printf("benchguard: merge integrity off: %d refs, %d provenance-tagged; want a non-empty fully tagged merge\n",
-			ff.MergedRefs, ff.TaggedRefs)
-		failed = true
-	} else {
-		fmt.Printf("benchguard: merge integrity ok (%d refs, all provenance-tagged)\n", ff.MergedRefs)
-	}
-	if failed {
-		fmt.Println("benchguard: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchguard: PASS")
-}
-
-func load(path string) (*bench, error) {
+// load reads a perfbench per-figure array (kgdb_ms) or a steady-state
+// report's rows (steady_kgdb_ms), in file order.
+func load(path string) ([]cost, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var recs []record
-	if err := json.Unmarshal(blob, &recs); err == nil {
-		out := &bench{recs: make(map[string]record, len(recs))}
-		for _, r := range recs {
-			out.recs[r.Figure] = r
+	var rows []struct {
+		Figure   string  `json:"figure"`
+		KGDBMs   float64 `json:"kgdb_ms"`
+		SteadyMS float64 `json:"steady_kgdb_ms"`
+	}
+	steady := json.Unmarshal(blob, &rows) != nil
+	if steady {
+		rep := struct {
+			Rows any `json:"rows"`
+		}{&rows}
+		if err := json.Unmarshal(blob, &rep); err != nil || len(rows) == 0 {
+			return nil, fmt.Errorf("%s: neither a perfbench array nor a steady-state report", path)
 		}
-		return out, nil
 	}
-	var sf steadyFile
-	if err := json.Unmarshal(blob, &sf); err != nil || len(sf.Rows) == 0 {
-		return nil, fmt.Errorf("%s: neither a perfbench array nor a steady-state report", path)
-	}
-	out := &bench{recs: make(map[string]record, len(sf.Rows)), reuseRatio: sf.ReuseRatio, steady: true}
-	for _, r := range sf.Rows {
-		out.recs[r.Figure] = record{Figure: r.Figure, KGDBMs: r.SteadyMS}
+	out := make([]cost, len(rows))
+	for i, r := range rows {
+		out[i] = cost{r.Figure, r.KGDBMs}
+		if steady {
+			out[i].ms = r.SteadyMS
+		}
 	}
 	return out, nil
 }

@@ -16,7 +16,8 @@
 //	                             # also measure the slow-link personality — a
 //	                             # PacketSize=512 RSP stub behind the snapshot
 //	                             # cache, deterministic modeled cost — and
-//	                             # write it as JSON (benchguard-compatible)
+//	                             # write it as JSON (benchguard compares it
+//	                             # per figure against BENCH_3.json)
 //	perfbench -steadyjson BENCH_4.json
 //	                             # also run the steady-state incremental
 //	                             # personality — attach, extract all figures,
@@ -37,8 +38,8 @@
 //	                             # fast; one slow straggler; half slow) —
 //	                             # and write the push-latency/coalescing
 //	                             # report as JSON. Latencies are host
-//	                             # wall-clock; benchguard gates them with
-//	                             # absolute ceilings/floors (-pushp95ceil).
+//	                             # wall-clock, gated by absolute
+//	                             # ceilings/floors.
 //	perfbench -tenantjson BENCH_8.json
 //	                             # also run the multi-tenant personality — one
 //	                             # server admits a 64-session fleet through
@@ -48,9 +49,9 @@
 //	                             # free-running neighbor — and write the
 //	                             # admission/serving/isolation report as JSON.
 //	                             # Latencies are host wall-clock (absolute
-//	                             # benchguard ceilings); the shared-infra
-//	                             # counters are exact (zero stdlib re-parses
-//	                             # and re-compiles after the first admission).
+//	                             # ceilings); the shared-infra counters are
+//	                             # exact (zero stdlib re-parses and
+//	                             # re-compiles after the first admission).
 //	perfbench -memjson BENCH_9.json
 //	                             # also run the fleet-memory personality — the
 //	                             # same 64-session fleet admitted twice, once
@@ -71,10 +72,16 @@
 //	                             # against the serial per-target loop — and
 //	                             # write the fan-out/merge report as JSON.
 //	                             # Latencies are host wall-clock (absolute
-//	                             # benchguard ceilings); the merge counters
-//	                             # are deterministic.
+//	                             # ceilings); the merge counters are
+//	                             # deterministic.
 //	perfbench -trace out.json    # also write a Chrome trace_event profile
 //	                             # of every figure's cached-KGDB extraction
+//
+// Each report written by -steadyjson, -cpujson, -streamjson, -tenantjson,
+// -memjson or -fleetjson is checked against its bounds (the constants
+// block in internal/perf/check.go) right after it is written. Violations
+// and failed shape checks go to stderr, and perfbench exits 1 once every
+// requested report is out.
 package main
 
 import (
@@ -108,7 +115,7 @@ type benchRecord struct {
 // rspRecord is one BENCH_3.json entry: the slow-link personality — a small
 // negotiated PacketSize, annex continuation batching, snapshot cache — with
 // the purely modeled link cost in kgdb_ms (benchguard keys on figure +
-// kgdb_ms, so the same guard binary watches this file too).
+// kgdb_ms, as it does for BENCH_1.json).
 type rspRecord struct {
 	Figure        string  `json:"figure"`
 	Objects       int     `json:"objects"`
@@ -119,6 +126,10 @@ type rspRecord struct {
 	KGDBMs        float64 `json:"kgdb_ms"`
 }
 
+// rspPacketSize is the negotiated PacketSize of the -rspjson stub: the
+// serial-link constraint the slow-link personality models.
+const rspPacketSize = 512
+
 func main() {
 	sleep := flag.Bool("sleep", false, "really sleep per read instead of virtual accounting")
 	rsp := flag.Bool("rsp", false, "also measure extraction through a real GDB-RSP loopback socket")
@@ -126,20 +137,10 @@ func main() {
 	rspJSONOut := flag.String("rspjson", "", "write the slow-link (PacketSize-constrained RSP, cached, modeled) results to this JSON file (e.g. BENCH_3.json)")
 	steadyJSONOut := flag.String("steadyjson", "", "write the steady-state incremental re-extraction report to this JSON file (e.g. BENCH_4.json)")
 	cpuJSONOut := flag.String("cpujson", "", "write the compiled-vs-interpreted CPU report to this JSON file (e.g. BENCH_6.json)")
-	cpuIters := flag.Int("cpuiters", 0, "per-figure samples for -cpujson (0 = default)")
 	streamJSONOut := flag.String("streamjson", "", "write the stream fan-out push-latency report to this JSON file (e.g. BENCH_7.json)")
-	streamRounds := flag.Int("streamrounds", 0, "free-run stop events per client mix for -streamjson (0 = default)")
 	tenantJSONOut := flag.String("tenantjson", "", "write the multi-tenant session-fabric report to this JSON file (e.g. BENCH_8.json)")
-	tenantSessions := flag.Int("tenantsessions", 0, "fleet size for -tenantjson (0 = default of 64)")
-	tenantReqs := flag.Int("tenantreqs", 0, "pane reads per session for -tenantjson (0 = default)")
-	tenantRounds := flag.Int("tenantrounds", 0, "victim stop-event rounds per isolation arm for -tenantjson (0 = default)")
 	memJSONOut := flag.String("memjson", "", "write the fleet-memory (CoW template fork vs private build) report to this JSON file (e.g. BENCH_9.json)")
-	memSessions := flag.Int("memsessions", 0, "fleet size for -memjson (0 = default of 64)")
-	memReqs := flag.Int("memreqs", 0, "pane reads per session for -memjson (0 = default)")
 	fleetJSONOut := flag.String("fleetjson", "", "write the fleet-query (cross-target fan-out vs serial loop) report to this JSON file (e.g. BENCH_10.json)")
-	fleetTargets := flag.Int("fleettargets", 0, "fleet size for -fleetjson, two of which are loaded core dumps (0 = default of 16)")
-	fleetQueries := flag.Int("fleetqueries", 0, "query rounds per arm for -fleetjson (0 = default of 32)")
-	packetSize := flag.Int("packetsize", 512, "negotiated RSP PacketSize for -rspjson (the serial-stub constraint)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of every figure's cached-KGDB extraction (open in chrome://tracing or Perfetto)")
 	perRead := flag.Duration("perread", 5*time.Millisecond, "modeled KGDB round-trip per read")
 	perByte := flag.Duration("perbyte", 2*time.Microsecond, "modeled KGDB cost per byte")
@@ -151,37 +152,40 @@ func main() {
 	model := target.LatencyModel{PerRead: *perRead, PerByte: *perByte, PerContinuation: *perCont, Sleep: *sleep}
 	opts := kernelsim.Options{Processes: *procs, Churn: *churn}
 
+	// Every gate violation is printed to stderr as soon as its report is
+	// written; the exit status waits until every requested report is out.
+	failed := false
+	check := func(path string, rep interface{ Check() []string }) {
+		for _, v := range rep.Check() {
+			fmt.Fprintf(os.Stderr, "perfbench: %s: FAIL: %s\n", path, v)
+			failed = true
+		}
+	}
+
 	uncached, err := perf.Table4Uncached(opts, model)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
-		os.Exit(1)
+		die("table4", err)
 	}
 	fmt.Print(perf.Format(uncached))
 
 	cached, err := perf.Table4(opts, model)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
-		os.Exit(1)
+		die("table4", err)
 	}
 	fmt.Println("\nExtra: KGDB behind the snapshot read cache (one page fetch per page per stop):")
 	fmt.Printf("%-12s | %12s %12s %8s | %6s %6s\n",
 		"figure", "uncached(ms)", "cached(ms)", "speedup", "txns", "was")
 	for i, p := range cached {
 		u := uncached[i]
-		speedup := 0.0
-		if p.KGDB.TotalMS > 0 {
-			speedup = u.KGDB.TotalMS / p.KGDB.TotalMS
-		}
 		fmt.Printf("%-12s | %12.1f %12.1f %7.1fx | %6d %6d\n",
-			p.FigureID, u.KGDB.TotalMS, p.KGDB.TotalMS, speedup,
+			p.FigureID, u.KGDB.TotalMS, p.KGDB.TotalMS, cacheSpeedup(u, p),
 			p.KGDB.Transactions, u.KGDB.Transactions)
 	}
 
 	if *rsp {
 		rows, err := perf.Table4RSP(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: rsp: %v\n", err)
-			os.Exit(1)
+			die("rsp", err)
 		}
 		fmt.Println()
 		fmt.Print(perf.FormatRows("Extra: extraction through a real GDB-RSP loopback socket", rows))
@@ -192,33 +196,24 @@ func main() {
 		// snapshot cache on top, cost priced by the deterministic link model
 		// (no wall clock), so the file is byte-stable across runs.
 		rspModel := target.LatencyModel{PerRead: *perRead, PerByte: *perByte, PerContinuation: *perCont}
-		rows, err := perf.Table4RSPCached(opts, rspModel, gdbrsp.WithPacketSize(*packetSize))
+		rows, err := perf.Table4RSPCached(opts, rspModel, gdbrsp.WithPacketSize(rspPacketSize))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: rspjson: %v\n", err)
-			os.Exit(1)
+			die("rspjson", err)
 		}
 		recs := make([]rspRecord, len(rows))
 		for i, r := range rows {
 			recs[i] = rspRecord{
 				Figure:        r.FigureID,
 				Objects:       r.Objects,
-				PacketSize:    *packetSize,
+				PacketSize:    rspPacketSize,
 				Transactions:  r.Transactions,
 				Continuations: r.Continuations,
 				BytesRead:     uint64(r.KBytes * 1024),
 				KGDBMs:        r.TotalMS,
 			}
 		}
-		blob, err := json.MarshalIndent(recs, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: rspjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*rspJSONOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: rspjson: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (slow-link personality, PacketSize=%d, modeled)\n", *rspJSONOut, *packetSize)
+		writeJSON(*rspJSONOut, recs)
+		fmt.Printf("\nwrote %s (slow-link personality, PacketSize=%d, modeled)\n", *rspJSONOut, rspPacketSize)
 	}
 
 	if *steadyJSONOut != "" {
@@ -228,18 +223,9 @@ func main() {
 		steadyModel := target.LatencyModel{PerRead: *perRead, PerByte: *perByte, PerContinuation: *perCont, PerHashCheck: target.DefaultKGDB.PerHashCheck}
 		rep, err := perf.MeasureSteadyState(opts, steadyModel, false)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: steadyjson: %v\n", err)
-			os.Exit(1)
+			die("steadyjson", err)
 		}
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: steadyjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*steadyJSONOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: steadyjson: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON(*steadyJSONOut, rep)
 		fmt.Printf("\nSteady-state incremental re-extraction (one Dirty-Pipe mutation between rounds):\n")
 		fmt.Printf("%-12s | %10s %10s | %6s %6s %6s\n",
 			"figure", "cold(ms)", "steady(ms)", "reused", "boxes+", "boxes=")
@@ -250,76 +236,53 @@ func main() {
 		fmt.Printf("steady round = %.1f%% of cold; box reuse ratio %.2f; %d/%d figures served whole\n",
 			rep.SteadyFraction*100, rep.ReuseRatio, rep.FiguresReused, rep.Figures)
 		fmt.Printf("wrote %s\n", *steadyJSONOut)
+		check(*steadyJSONOut, rep)
 	}
 
 	if *cpuJSONOut != "" {
 		// The CPU personality: both engines in one process against the fast
 		// in-process target, so the speedup is a same-run internal ratio.
-		rep, err := perf.MeasureCPU(opts, *cpuIters, "")
+		rep, err := perf.MeasureCPU(opts, 0, "")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: cpujson: %v\n", err)
-			os.Exit(1)
+			die("cpujson", err)
 		}
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: cpujson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*cpuJSONOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: cpujson: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON(*cpuJSONOut, rep)
 		fmt.Printf("\nCPU personality (compiled closure chains vs tree-walking interpreter, same run):\n")
 		fmt.Print(perf.FormatCPU(rep))
 		fmt.Printf("wrote %s\n", *cpuJSONOut)
+		check(*cpuJSONOut, rep)
 	}
 
 	if *streamJSONOut != "" {
 		// The stream personality: live fan-out under mixed consumer speeds.
 		// Broker-level clients keep TCP out of the measurement; the columns
-		// are wall-clock, so the guard uses absolute ceilings, not a
+		// are wall-clock, so the gate uses absolute ceilings, not a
 		// baseline diff.
-		rep, err := perf.MeasureStream(opts, *streamRounds)
+		rep, err := perf.MeasureStream(opts, 0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: streamjson: %v\n", err)
-			os.Exit(1)
+			die("streamjson", err)
 		}
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: streamjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*streamJSONOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: streamjson: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON(*streamJSONOut, rep)
 		fmt.Printf("\nStream fan-out personality (free-run stop events into mixed-speed SSE client pools):\n")
 		fmt.Print(perf.FormatStream(rep))
 		fmt.Printf("wrote %s\n", *streamJSONOut)
+		check(*streamJSONOut, rep)
 	}
 
 	if *tenantJSONOut != "" {
 		// The tenant personality: one live server, a whole fleet of managed
 		// sessions, and a victim-vs-hot isolation experiment. Wall-clock, so
-		// the guard uses absolute ceilings plus exact zero-equality on the
+		// the gate uses absolute ceilings plus exact zero-equality on the
 		// shared-infrastructure counters.
-		rep, err := perf.MeasureTenants(*tenantSessions, *tenantReqs, *tenantRounds)
+		rep, err := perf.MeasureTenants()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: tenantjson: %v\n", err)
-			os.Exit(1)
+			die("tenantjson", err)
 		}
-		blob, err := perf.TenantReportJSON(rep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: tenantjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*tenantJSONOut, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: tenantjson: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON(*tenantJSONOut, rep)
 		fmt.Printf("\nMulti-tenant session-fabric personality (one server, %d sessions):\n", rep.Sessions)
 		fmt.Print(perf.FormatTenants(rep))
 		fmt.Printf("wrote %s\n", *tenantJSONOut)
+		check(*tenantJSONOut, rep)
 	}
 
 	if *memJSONOut != "" {
@@ -327,52 +290,35 @@ func main() {
 		// the same fleet shape, then the CoW byte accounting. The dedup
 		// ratio and counters are deterministic; only the admission and
 		// serving latencies are wall-clock.
-		rep, err := perf.MeasureFleetMem(*memSessions, *memReqs)
+		rep, err := perf.MeasureFleetMem(0, 0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: memjson: %v\n", err)
-			os.Exit(1)
+			die("memjson", err)
 		}
-		blob, err := perf.FleetMemReportJSON(rep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: memjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*memJSONOut, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: memjson: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON(*memJSONOut, rep)
 		fmt.Printf("\nFleet-memory personality (CoW template forks vs private builds, %d sessions):\n", rep.Sessions)
 		fmt.Print(perf.FormatFleetMem(rep))
 		fmt.Printf("wrote %s\n", *memJSONOut)
+		check(*memJSONOut, rep)
 	}
 
 	if *fleetJSONOut != "" {
 		// The fleet-query personality: one ViewQL program fanned across a
 		// mixed live+core fleet vs the serial per-target loop. The merge
 		// counters are deterministic; only the latencies are wall-clock.
-		rep, err := perf.MeasureFleet(*fleetTargets, *fleetQueries)
+		rep, err := perf.MeasureFleet()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: fleetjson: %v\n", err)
-			os.Exit(1)
+			die("fleetjson", err)
 		}
-		blob, err := perf.FleetReportJSON(rep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: fleetjson: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*fleetJSONOut, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: fleetjson: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON(*fleetJSONOut, rep)
 		fmt.Printf("\nFleet-query personality (fan-out vs serial over %d mixed targets):\n", rep.Targets)
 		fmt.Print(perf.FormatFleet(rep))
 		fmt.Printf("wrote %s\n", *fleetJSONOut)
+		check(*fleetJSONOut, rep)
 	}
 
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, opts, model); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: trace: %v\n", err)
-			os.Exit(1)
+			die("trace", err)
 		}
 		fmt.Printf("\nwrote %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
 	}
@@ -381,10 +327,6 @@ func main() {
 		recs := make([]benchRecord, len(cached))
 		for i, p := range cached {
 			u := uncached[i]
-			speedup := 0.0
-			if p.KGDB.TotalMS > 0 {
-				speedup = u.KGDB.TotalMS / p.KGDB.TotalMS
-			}
 			recs[i] = benchRecord{
 				Figure:         p.FigureID,
 				Objects:        p.GDB.Objects,
@@ -393,23 +335,52 @@ func main() {
 				Transactions:   p.KGDB.Transactions,
 				KGDBMs:         p.KGDB.TotalMS,
 				KGDBUncachedMs: u.KGDB.TotalMS,
-				CacheSpeedup:   speedup,
+				CacheSpeedup:   cacheSpeedup(u, p),
 			}
 		}
-		blob, err := json.MarshalIndent(recs, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: json: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: json: %v\n", err)
-			os.Exit(1)
-		}
+		writeJSON(*jsonOut, recs)
 		fmt.Printf("\nwrote %s\n", *jsonOut)
 	}
 
 	fmt.Println("\nShape checks (paper §5.4 qualitative claims, uncached stub):")
-	runShapeChecks(uncached)
+	if fails := perf.ShapeChecks(uncached); len(fails) > 0 {
+		for _, f := range fails {
+			fmt.Fprintln(os.Stderr, "perfbench: shape check FAIL:", f)
+		}
+		failed = true
+	} else {
+		fmt.Println("  all hold: KGDB >=10x slower everywhere; cost ranks with read count;")
+		fmt.Println("  small figures remain interactive on KGDB.")
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// cacheSpeedup is how much faster the cached KGDB run was than the
+// uncached one, 0 when the cached run cost nothing.
+func cacheSpeedup(uncached, cached perf.Pair) float64 {
+	if cached.KGDB.TotalMS <= 0 {
+		return 0
+	}
+	return uncached.KGDB.TotalMS / cached.KGDB.TotalMS
+}
+
+// writeJSON writes v as indented JSON plus a trailing newline, the layout
+// of every committed BENCH_*.json, and exits 1 if it cannot.
+func writeJSON(path string, v any) {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(blob, '\n'), 0o644)
+	}
+	if err != nil {
+		die(path, err)
+	}
+}
+
+func die(what string, err error) {
+	fmt.Fprintf(os.Stderr, "perfbench: %s: %v\n", what, err)
+	os.Exit(1)
 }
 
 // writeTrace re-measures every figure on the cached-KGDB personality with
@@ -437,17 +408,4 @@ func writeTrace(path string, opts kernelsim.Options, model target.LatencyModel) 
 		return err
 	}
 	return f.Close()
-}
-
-func runShapeChecks(uncached []perf.Pair) {
-	fails := perf.ShapeChecks(uncached)
-	if len(fails) == 0 {
-		fmt.Println("  all hold: KGDB >=10x slower everywhere; cost ranks with read count;")
-		fmt.Println("  small figures remain interactive on KGDB.")
-	} else {
-		for _, f := range fails {
-			fmt.Println("  FAIL:", f)
-		}
-		os.Exit(1)
-	}
 }

@@ -164,7 +164,8 @@ func TestXArrayRoundtrip(t *testing.T) {
 		}
 		xa := k.Alloc("xarray")
 		k.BuildXArray(xa, items)
-		// Walk: descend by index bits.
+		// Walk the way xa_load does: an index beyond the root node's
+		// range is absent, then descend by index bits.
 		lookup := func(idx uint64) uint64 {
 			entry := xa.Get("xa_head")
 			if entry == 0 {
@@ -174,6 +175,9 @@ func TestXArrayRoundtrip(t *testing.T) {
 				if idx == 0 {
 					return entry
 				}
+				return 0
+			}
+			if idx>>k.At("xa_node", XaToNode(entry)).Get("shift") > XAChunkSize-1 {
 				return 0
 			}
 			for {
@@ -191,7 +195,6 @@ func TestXArrayRoundtrip(t *testing.T) {
 					return e
 				}
 				entry = e
-				idx &= (1 << shift) - 1 // keep low bits... actually keep all: slots mask handles
 			}
 		}
 		for idx, want := range items {
@@ -212,6 +215,11 @@ func TestXArrayRoundtrip(t *testing.T) {
 			}
 		}
 		return true
+	}
+	// One entry at index 15 under a shift-0 root, probed at 3471: an
+	// absent index that lands in slot 15 unless the root range is checked.
+	if !prop(7805205594009706129, 0xc0) {
+		t.Fatal("regression input seed=7805205594009706129 n=0xc0 failed")
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

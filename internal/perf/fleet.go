@@ -50,21 +50,12 @@ type FleetReport struct {
 // work but the result stays compact.
 const fleetQueryBody = `{"figure":"7-1","query":"busy = SELECT task_struct FROM * WHERE pid > 0"%s}`
 
-// MeasureFleet admits the mixed fleet and measures fan-out vs serial.
-// targets and queries <= 0 select the defaults (16 targets — 14 live
-// across three workload variants, 2 core dumps — and 32 query rounds).
-func MeasureFleet(targets, queries int) (*FleetReport, error) {
-	if targets <= 0 {
-		targets = 16
-	}
-	if targets < 4 {
-		targets = 4
-	}
-	if queries <= 0 {
-		queries = 32
-	}
-	nCore := 2
-	nLive := targets - nCore
+// MeasureFleet admits the mixed fleet and measures fan-out vs serial:
+// fleetTargets targets (2 core dumps, the rest live across three workload
+// variants) and 32 query rounds.
+func MeasureFleet() (*FleetReport, error) {
+	const targets, queries, nCore = fleetTargets, 32, 2
+	const nLive = targets - nCore
 	rep := &FleetReport{Targets: targets, Live: nLive, Core: nCore, Queries: queries}
 
 	mgr := core.NewSessionManager(core.ManagerOptions{MaxSessions: targets + 8}, obs.NewObserver())
@@ -187,13 +178,4 @@ func FormatFleet(rep *FleetReport) string {
 	fmt.Fprintf(&sb, "merge       | %d refs, %d provenance-tagged, %d/%d targets healthy\n",
 		rep.MergedRefs, rep.TaggedRefs, rep.HealthyTargs, rep.Targets)
 	return sb.String()
-}
-
-// FleetReportJSON marshals the report the way perfbench writes it.
-func FleetReportJSON(rep *FleetReport) ([]byte, error) {
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
 }

@@ -11,7 +11,6 @@
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -192,13 +191,4 @@ func FormatFleetMem(rep *FleetMemReport) string {
 	fmt.Fprintf(&sb, "divergence   | %d sessions privatized %d KiB total (image is %d KiB)\n",
 		rep.DivergedSessions, rep.DivergedPrivateBytes/1024, rep.PerSessionImageBytes/1024)
 	return sb.String()
-}
-
-// FleetMemReportJSON marshals the report the way perfbench writes it.
-func FleetMemReportJSON(rep *FleetMemReport) ([]byte, error) {
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
 }

@@ -48,7 +48,7 @@ type StreamMixRow struct {
 }
 
 // StreamReport is the BENCH_7 document. The top-level columns are the
-// across-mix worst cases, which is what benchguard gates on.
+// across-mix worst cases, which is what Check gates on.
 type StreamReport struct {
 	Rows     []StreamMixRow `json:"rows"`
 	QueueCap int            `json:"queue_cap"`

@@ -12,7 +12,6 @@
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -62,19 +61,10 @@ type TenantReport struct {
 // pair extracts the full stdlib to make rounds meaty enough to contend.
 const tenantFigure = "7-1"
 
-// MeasureTenants runs the fleet and isolation phases. sessions, reqs, and
-// rounds <= 0 select the defaults (64 sessions, 32 requests each, 24
-// victim rounds per arm).
-func MeasureTenants(sessions, reqs, rounds int) (*TenantReport, error) {
-	if sessions <= 0 {
-		sessions = 64
-	}
-	if reqs <= 0 {
-		reqs = 32
-	}
-	if rounds <= 0 {
-		rounds = 24
-	}
+// MeasureTenants runs the fleet and isolation phases: 64 sessions, 32
+// requests each, 24 victim rounds per arm.
+func MeasureTenants() (*TenantReport, error) {
+	const sessions, reqs, rounds = 64, 32, 24
 	rep := &TenantReport{Sessions: sessions, RequestsPerSess: reqs, Rounds: rounds}
 
 	mgr := core.NewSessionManager(core.ManagerOptions{MaxSessions: sessions + 8}, obs.NewObserver())
@@ -215,13 +205,4 @@ func FormatTenants(rep *TenantReport) string {
 	fmt.Fprintf(&sb, "isolation   | victim p50 %.2f ms alone vs %.2f ms beside hot neighbor (%.2fx, %d hot rounds)\n",
 		rep.VictimAloneP50MS, rep.VictimContendedP50MS, rep.IsolationRatio, rep.HotRounds)
 	return sb.String()
-}
-
-// TenantReportJSON marshals the report the way perfbench writes it.
-func TenantReportJSON(rep *TenantReport) ([]byte, error) {
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
 }
