@@ -17,7 +17,8 @@
 #                      (BENCH_8.json)
 #   make table9        regenerate the fleet-memory CoW report (BENCH_9.json)
 #   make table10       regenerate the fleet-query fan-out report (BENCH_10.json)
-#   make fuzz-smoke    short ViewQL fuzz pass (panic hunt over Engine.Apply;
+#   make fuzz-smoke    short fuzz passes (panic hunts over ViewQL's
+#                      Engine.Apply and the C-expression parser expr.Parse;
 #                      the committed corpus seeds always run)
 #   make race-link     race-detector pass over the read pipeline packages
 #                      (gdbrsp client/server, target cache, memory journal,
@@ -47,6 +48,7 @@ race-link:
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzApply -fuzztime=5s -run='^FuzzApply$$' ./internal/viewql
+	$(GO) test -fuzz=FuzzParse -fuzztime=5s -run='^FuzzParse$$' ./internal/expr
 
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkTable2Extract -benchtime=1x .

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"visualinux/internal/core"
@@ -188,26 +189,27 @@ func (r *Runner) vtrace(fields []string) {
 		r.printf("tracing is off: session has no observer\n")
 		return
 	}
+	traces := r.Session.Obs.Traces
 	if len(fields) > 1 {
-		var id int
-		if _, err := fmt.Sscanf(fields[1], "%d", &id); err != nil {
+		id, err := strconv.Atoi(fields[1])
+		if err != nil {
 			r.printf("usage: vtrace [pane]\n")
 			return
 		}
-		tr, ok := r.Session.Trace(id)
+		rec, ok := traces.Last(id)
 		if !ok {
 			r.printf("no trace for pane %d (only plots are traced)\n", id)
 			return
 		}
-		r.printf("pane %d:\n%s", id, tr.FormatTree())
+		r.printf("pane %d:\n%s", id, rec.Trace.FormatTree())
 		return
 	}
-	id, tr, ok := r.Session.LastTrace()
+	rec, ok := traces.Latest()
 	if !ok {
 		r.printf("no extractions traced yet; vplot first\n")
 		return
 	}
-	r.printf("pane %d:\n%s", id, tr.FormatTree())
+	r.printf("pane %d:\n%s", rec.Pane, rec.Trace.FormatTree())
 }
 
 func (r *Runner) vchat(rest string) {

@@ -179,8 +179,10 @@ func TestVTrace(t *testing.T) {
 	if got := run(t, ro, &buf, "vtrace 99"); !strings.Contains(got, "no trace for pane 99") {
 		t.Errorf("vtrace 99: %q", got)
 	}
-	if got := run(t, ro, &buf, "vtrace bogus"); !strings.Contains(got, "usage:") {
-		t.Errorf("vtrace bogus: %q", got)
+	for _, arg := range []string{"bogus", "1abc"} {
+		if got := run(t, ro, &buf, "vtrace "+arg); !strings.Contains(got, "usage:") {
+			t.Errorf("vtrace %s: %q", arg, got)
+		}
 	}
 	if got := run(t, ro, &buf, "help"); !strings.Contains(got, "vtrace") {
 		t.Errorf("help lacks vtrace: %q", got)

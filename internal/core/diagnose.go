@@ -9,9 +9,9 @@ import (
 	"visualinux/internal/vchat"
 )
 
-// This file wires the vchat diagnosis layer to a session: pane→figure
-// mapping, the steady-state bench baseline, and the intent-routed
-// VChatAnswer entry point the REPL and the HTTP server share.
+// This file wires the vchat diagnosis layer to a session: the
+// steady-state bench baseline and the intent-routed VChatAnswer entry
+// point the REPL and the HTTP server share.
 
 // SetBaseline installs a figure→steady-state-milliseconds baseline table
 // (keys as the bench writes them, e.g. "3-6"; pane figure names like
@@ -69,20 +69,11 @@ func (s *Session) baselineFor(figure string) (float64, bool) {
 	return ms, ok
 }
 
-// Figure reports the figure/extraction name a pane was plotted from.
-func (s *Session) Figure(paneID int) (string, bool) {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	f, ok := s.figures[paneID]
-	return f, ok
-}
-
 // observations packages the session's retained data for the vchat
 // diagnosis layer.
 func (s *Session) observations() vchat.Observations {
 	return vchat.Observations{
 		Obs:      s.Obs,
-		Figure:   s.Figure,
 		Baseline: s.baselineFor,
 		Stream:   s.StreamHealth,
 	}
@@ -137,14 +128,13 @@ func (s *Session) VChatAnswer(paneID int, text string) (kind, out string, err er
 	if named > 0 {
 		target = named
 	}
+	if target == 0 && s.Obs != nil {
+		latest, _ := s.Obs.Traces.Latest()
+		target = latest.Pane
+	}
 	switch intent {
 	case vchat.IntentDiagnosePane:
 		s.log("vchat " + text)
-		if target == 0 {
-			s.traceMu.Lock()
-			target = s.lastTrace
-			s.traceMu.Unlock()
-		}
 		if target == 0 {
 			return AnswerDiagnosis, "", fmt.Errorf("vchat: which pane? say e.g. \"why is pane 1 slow?\"")
 		}
@@ -169,11 +159,6 @@ func (s *Session) VChatAnswer(paneID int, text string) (kind, out string, err er
 		return AnswerDiagnosis, r.Render(), nil
 	case vchat.IntentWhatChanged:
 		s.log("vchat " + text)
-		if target == 0 {
-			s.traceMu.Lock()
-			target = s.lastTrace
-			s.traceMu.Unlock()
-		}
 		if target == 0 {
 			return AnswerDiagnosis, "", fmt.Errorf("vchat: no retained rounds yet; vplot first")
 		}

@@ -84,7 +84,7 @@ type ManagedSession struct {
 	// the loaded dump's for core sessions. Budget accounting and release
 	// go through it so both attach modes are charged the same way.
 	Mem *mem.Memory
-	// Obs is the session's own observer (registry, slow log, trace store):
+	// Obs is the session's own observer (registry, trace store):
 	// tenants never share mutable observability state, only the bounded
 	// session-labeled series the manager exports process-wide.
 	Obs     *obs.Observer

@@ -56,6 +56,11 @@ const (
 	MaxImageBytes = 1 << 30
 	// MaxSymbols bounds the u32 symbol count.
 	MaxSymbols = 1 << 20
+	// MaxFileBytes bounds a whole dump file: the header, MaxSegments
+	// segment headers, MaxImageBytes of image, and a symbol table of up to
+	// 64 bytes per symbol slot. Callers that read a dump into memory
+	// before Load stop reading here.
+	MaxFileBytes = 12 + MaxSegments*16 + MaxImageBytes + MaxSymbols*64
 )
 
 // Dump serializes the target's mapped memory and symbols to w. Contiguous

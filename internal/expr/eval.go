@@ -100,7 +100,7 @@ func (n *memberNode) eval(env *Env) (Value, error) {
 			return Value{}, err
 		}
 		pt := base.Type.Strip()
-		if pt.Kind != ctypes.KindPointer {
+		if pt == nil || pt.Kind != ctypes.KindPointer {
 			return Value{}, fmt.Errorf("expr: '->%s' on non-pointer %s", n.name, base.Type)
 		}
 		if base.Bits == 0 {
@@ -133,6 +133,9 @@ func (n *indexNode) eval(env *Env) (Value, error) {
 		return Value{}, err
 	}
 	idx := idxV.Int()
+	if base.IsStr {
+		return Value{}, fmt.Errorf("expr: indexing a string literal")
+	}
 
 	bt := base.Type.Strip()
 	switch {
@@ -167,6 +170,9 @@ func (n *unaryNode) eval(env *Env) (Value, error) {
 	v, err := n.x.eval(env)
 	if err != nil {
 		return Value{}, err
+	}
+	if v.IsStr && n.op != "!" {
+		return Value{}, fmt.Errorf("expr: %s on a string literal", n.op)
 	}
 	if n.op == "sizeof" {
 		return MakeInt(env.Types().MustLookup("size_t"), v.Type.Size()), nil

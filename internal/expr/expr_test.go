@@ -1,6 +1,8 @@
 package expr_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +68,9 @@ func newFixture(t testing.TB) *fixture {
 
 	env := expr.NewEnv(tgt)
 	env.RegisterFunc("double", func(e *expr.Env, args []expr.Value) (expr.Value, error) {
+		if len(args) != 1 {
+			return expr.Value{}, fmt.Errorf("double: want 1 argument, got %d", len(args))
+		}
 		return expr.MakeInt(u64, args[0].Uint()*2), nil
 	})
 	return &fixture{env: env, tgt: tgt, node: node}
@@ -323,6 +328,33 @@ func TestParseErrors(t *testing.T) {
 		if _, err := expr.Parse(src, f.env.Types()); err == nil {
 			t.Errorf("no parse error for %q", src)
 		}
+	}
+}
+
+// TestParseDepthBound pins the recursion bound: every nesting form fails
+// with an error at depth 10 000 instead of overflowing the stack, while
+// nesting far deeper than any stdlib expression still parses.
+func TestParseDepthBound(t *testing.T) {
+	f := newFixture(t)
+	const deep = 10000
+	for name, src := range map[string]string{
+		"parens":  strings.Repeat("(", deep) + "1" + strings.Repeat(")", deep),
+		"unary":   strings.Repeat("-", deep) + "1",
+		"not":     strings.Repeat("!", deep) + "1",
+		"deref":   strings.Repeat("*", deep) + "p",
+		"casts":   strings.Repeat("(int)", deep) + "1",
+		"ternary": strings.Repeat("1 ? 1 : ", deep) + "1",
+		"index":   "a" + strings.Repeat("[a", deep) + strings.Repeat("]", deep),
+		"calls":   strings.Repeat("f(", deep) + "1" + strings.Repeat(")", deep),
+	} {
+		_, err := expr.Parse(src, f.env.Types())
+		if err == nil || !strings.Contains(err.Error(), "nested too deeply") {
+			t.Errorf("%s: err = %v, want the depth bound", name, err)
+		}
+	}
+	ok := strings.Repeat("(", 64) + "-(int)!1" + strings.Repeat(")", 64)
+	if _, err := expr.Parse(ok, f.env.Types()); err != nil {
+		t.Errorf("64-level nesting: %v", err)
 	}
 }
 

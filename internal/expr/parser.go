@@ -149,10 +149,29 @@ type sizeofTypeNode struct{ typ *ctypes.Type }
 // --- parser ------------------------------------------------------------------
 
 type parser struct {
-	toks []token
-	pos  int
-	reg  *ctypes.Registry
-	src  string
+	toks  []token
+	pos   int
+	reg   *ctypes.Registry
+	src   string
+	depth int // current recursion nesting (see maxParseDepth)
+}
+
+// maxParseDepth bounds parser recursion: each parenthesis costs two levels
+// (the unary operand and the nested ternary), each unary prefix, cast or
+// ternary arm one. The deepest expression in the stdlib and examples uses
+// 8 levels; a hostile "((((..." or "----..." would otherwise recurse once
+// per token and exhaust the goroutine stack — a fatal error recover()
+// cannot catch.
+const maxParseDepth = 256
+
+// enter counts one level of recursion; the caller decrements p.depth on
+// return.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxParseDepth {
+		return fmt.Errorf("expr: expression nested too deeply (max %d)", maxParseDepth)
+	}
+	return nil
 }
 
 func (p *parser) peek() token   { return p.toks[p.pos] }
@@ -178,6 +197,10 @@ func (p *parser) expect(text string) error {
 func (p *parser) parseExpr() (node, error) { return p.parseTernary() }
 
 func (p *parser) parseTernary() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	cond, err := p.parseBinary(0)
 	if err != nil {
 		return nil, err
@@ -242,6 +265,10 @@ func (p *parser) parseBinary(level int) (node, error) {
 }
 
 func (p *parser) parseUnary() (node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	t := p.peek()
 	if t.Kind == tokPunct {
 		switch t.Text {

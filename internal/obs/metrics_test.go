@@ -92,7 +92,7 @@ func TestConcurrentMetrics(t *testing.T) {
 				r.Histogram("shared_ms", "shared", nil).Observe(float64(i))
 				o.ObserveStage("extract", time.Millisecond)
 				o.ObserveExtraction("7-1", time.Millisecond)
-				o.Slow.Record("w", time.Duration(i)*time.Millisecond, nil)
+				o.Traces.Record(w, "w", float64(i), &obs.SpanExport{Name: "w"})
 			}
 		}()
 	}

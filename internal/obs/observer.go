@@ -5,7 +5,7 @@ import (
 )
 
 // Observer bundles the pieces one serving process shares across every
-// extraction: the metrics registry, the slow-extraction log, and the
+// extraction: the metrics registry, the trace store, and the
 // pre-registered counter handles the hot paths bump. One Observer is
 // created per process (vlserver, visualinux, perfbench -trace) and threaded
 // through sessions; per-extraction tracers are created per VPlot and feed
@@ -14,10 +14,10 @@ import (
 // A nil *Observer disables everything at the cost of a pointer check.
 type Observer struct {
 	Registry *Registry
-	Slow     *SlowLog
-	// Traces retains the last few span trees per pane — the store the
-	// vchat diagnosis layer answers from (recency-based, unlike the
-	// slowest-per-label Slow log).
+	// Traces is the one store span trees are kept in after a round: the
+	// per-pane history vchat diagnoses from, the most recent extraction
+	// behind /debug/trace/last, and the slowest-per-key index behind
+	// /debug/slowlog.
 	Traces *TraceStore
 
 	// Link-level traffic (bumped by target.Instrumented, i.e. only what
@@ -80,13 +80,12 @@ type Observer struct {
 	History *MetricsHistory
 }
 
-// NewObserver creates a fully wired observer with a fresh registry and a
-// DefaultSlowLogSize slow log.
+// NewObserver creates a fully wired observer with a fresh registry and an
+// empty trace store.
 func NewObserver() *Observer {
 	r := NewRegistry()
 	o := &Observer{
 		Registry: r,
-		Slow:     NewSlowLog(DefaultSlowLogSize),
 		Traces:   NewTraceStore(DefaultTraceStoreDepth),
 
 		LinkReads:         r.Counter("vl_target_link_reads_total", "read transactions that reached the (modeled) debug link"),

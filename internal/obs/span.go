@@ -1,10 +1,10 @@
 // Package obs is the observability substrate of the pipeline: a
 // lightweight, allocation-conscious span tracer, a Prometheus-style metrics
-// registry, a slow-extraction log, and trace exporters (JSON tree + Chrome
+// registry, a trace store, and trace exporters (JSON tree + Chrome
 // trace_event). It is stdlib-only and nil-safe throughout: every method on a
 // nil *Tracer, *Span, *Registry, *Counter, *Gauge, *Histogram, *Observer or
-// *SlowLog is a no-op, so instrumentation points cost one pointer check when
-// observability is off.
+// *TraceStore is a no-op, so instrumentation points cost one pointer check
+// when observability is off.
 //
 // The layers below (target) and above (viewcl, core, server, perf) all
 // import obs; obs imports nothing of theirs.

@@ -169,10 +169,10 @@ func TestNilSafety(t *testing.T) {
 	_ = r.Histogram("x", "", nil)
 	r.WritePrometheus(&bytes.Buffer{})
 
-	var l *obs.SlowLog
-	l.Record("x", time.Second, nil)
-	_ = l.Entries()
-	_ = l.Len()
+	var ts *obs.TraceStore
+	ts.Record(1, "x", 1, &obs.SpanExport{Name: "x"})
+	_, _ = ts.Latest()
+	_ = ts.Slowest()
 
 	var o *obs.Observer
 	o.ObserveStage("extract", time.Second)

@@ -10,6 +10,16 @@ import (
 // steady-state baseline and answer "what changed since the last stop".
 const DefaultTraceStoreDepth = 8
 
+// SlowestSize bounds the slowest-per-key index: at most this many
+// pane+figure keys keep their worst round.
+const SlowestSize = 16
+
+// FanoutTracePane is the reserved pane ID stream fan-out round span trees
+// are retained under. Real panes are numbered from 1, so fan-out rounds
+// share the per-pane rings without colliding with any extraction; they are
+// kept out of the Latest and Slowest indexes, which describe extractions.
+const FanoutTracePane = -1
+
 // TraceRecord is one retained extraction round for a pane: the full span
 // tree plus enough identity to answer questions about it without touching
 // /debug/trace.
@@ -21,19 +31,25 @@ type TraceRecord struct {
 	Trace  *SpanExport `json:"trace,omitempty"`
 }
 
-// TraceStore retains the last N span trees per pane — the substrate the
-// vchat diagnosis layer reads instead of the /debug/trace endpoint. Unlike
-// the SlowLog (slowest-per-label, admission by duration), the store is
-// purely recency-based: every round is kept, bounded per pane, so "why is
-// pane 3 slow?" always finds pane 3's latest tree even when pane 3 was
-// never slow enough for the slow log.
+// TraceStore is the one place span trees are kept after a round finishes.
+// It indexes every recorded round three ways:
+//
+//   - per pane, the last N rounds (recency): "why is pane 3 slow?" always
+//     finds pane 3's latest tree, however fast it was;
+//   - Latest, the most recent extraction of any pane;
+//   - Slowest, the worst round of each pane+figure key, slowest first and
+//     bounded by SlowestSize: once full, a round must beat the fastest
+//     retained entry to get in, and a hot pane's burst of slow rounds
+//     upgrades its own slot instead of evicting every other pane's trace.
 //
 // Safe for concurrent writers and readers; nil-safe like the rest of obs.
 type TraceStore struct {
-	mu    sync.Mutex
-	depth int
-	seq   uint64
-	byID  map[int][]TraceRecord // oldest first, len <= depth
+	mu      sync.Mutex
+	depth   int
+	seq     uint64
+	byID    map[int][]TraceRecord // oldest first, len <= depth
+	latest  TraceRecord           // Seq == 0 until the first extraction
+	slowest []TraceRecord         // DurMS descending; at most one per pane+figure
 }
 
 // NewTraceStore creates a store keeping the last depth rounds per pane
@@ -45,8 +61,9 @@ func NewTraceStore(depth int) *TraceStore {
 	return &TraceStore{depth: depth, byID: make(map[int][]TraceRecord)}
 }
 
-// Record retains one extraction round for a pane, evicting the pane's
-// oldest round beyond the depth bound. A nil trace is ignored.
+// Record retains one round for a pane, evicting the pane's oldest round
+// beyond the depth bound and offering extraction rounds to the Latest and
+// Slowest indexes. A nil trace is ignored.
 func (ts *TraceStore) Record(pane int, figure string, durMS float64, trace *SpanExport) {
 	if ts == nil || trace == nil {
 		return
@@ -54,13 +71,67 @@ func (ts *TraceStore) Record(pane int, figure string, durMS float64, trace *Span
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.seq++
-	recs := append(ts.byID[pane], TraceRecord{
-		Pane: pane, Figure: figure, Seq: ts.seq, DurMS: durMS, Trace: trace,
-	})
+	rec := TraceRecord{Pane: pane, Figure: figure, Seq: ts.seq, DurMS: durMS, Trace: trace}
+	recs := append(ts.byID[pane], rec)
 	if len(recs) > ts.depth {
 		recs = append(recs[:0], recs[len(recs)-ts.depth:]...)
 	}
 	ts.byID[pane] = recs
+	if pane == FanoutTracePane {
+		return
+	}
+	ts.latest = rec
+	ts.offerSlowest(rec)
+}
+
+// offerSlowest applies the slowest-per-key admission rule. ts.mu is held.
+func (ts *TraceStore) offerSlowest(rec TraceRecord) {
+	// One slot per key: a repeat offer either upgrades the key's retained
+	// entry (new personal worst) or is dropped outright.
+	for i, e := range ts.slowest {
+		if e.Pane != rec.Pane || e.Figure != rec.Figure {
+			continue
+		}
+		if rec.DurMS <= e.DurMS {
+			return
+		}
+		ts.slowest = append(ts.slowest[:i], ts.slowest[i+1:]...)
+		break
+	}
+	n := len(ts.slowest)
+	if n >= SlowestSize && rec.DurMS <= ts.slowest[n-1].DurMS {
+		return
+	}
+	i := sort.Search(n, func(i int) bool { return ts.slowest[i].DurMS < rec.DurMS })
+	ts.slowest = append(ts.slowest, TraceRecord{})
+	copy(ts.slowest[i+1:], ts.slowest[i:])
+	ts.slowest[i] = rec
+	if len(ts.slowest) > SlowestSize {
+		ts.slowest = ts.slowest[:SlowestSize]
+	}
+}
+
+// Latest returns the most recent extraction round of any pane.
+func (ts *TraceStore) Latest() (TraceRecord, bool) {
+	if ts == nil {
+		return TraceRecord{}, false
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.latest, ts.latest.Seq != 0
+}
+
+// Slowest returns the retained worst round of each pane+figure key,
+// slowest first.
+func (ts *TraceStore) Slowest() []TraceRecord {
+	if ts == nil {
+		return nil
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	out := make([]TraceRecord, len(ts.slowest))
+	copy(out, ts.slowest)
+	return out
 }
 
 // Last returns a pane's most recent round.

@@ -102,8 +102,8 @@ func MeasureFigureKGDBTraced(k *kernelsim.Kernel, fig vclstdlib.Figure, model ta
 	}
 	elapsed := time.Since(t0) + lt.VirtualElapsed()
 	reads, bytes, txns := lt.Stats().Totals()
-	_, tr, _ := s.LastTrace()
-	return makeRow(fig.ID, p.Graph.Stats.Objects, reads, txns, bytes, elapsed), tr, nil
+	rec, _ := o.Traces.Latest()
+	return makeRow(fig.ID, p.Graph.Stats.Objects, reads, txns, bytes, elapsed), rec.Trace, nil
 }
 
 // MeasureFigureKGDBUncached is MeasureFigureKGDB without the snapshot cache:

@@ -8,6 +8,7 @@ import (
 
 	"visualinux/internal/core"
 	"visualinux/internal/kernelsim"
+	"visualinux/internal/obs"
 	"visualinux/internal/vchat"
 )
 
@@ -148,19 +149,18 @@ func (s *Server) handleMetrics(t *tenant, w http.ResponseWriter, r *http.Request
 // handleTrace returns the span tree of a pane's last extraction as JSON.
 // GET /debug/trace/3 — pane 3; GET /debug/trace/last — most recent.
 func (s *Server) handleTrace(t *tenant, rest string, w http.ResponseWriter, r *http.Request) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.session.Obs == nil {
+	o := t.session.Obs
+	if o == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
 		return
 	}
 	if rest == "last" || rest == "" {
-		id, tr, ok := t.session.LastTrace()
+		rec, ok := o.Traces.Latest()
 		if !ok {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("no extractions traced yet"))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"pane": id, "trace": tr})
+		writeJSON(w, http.StatusOK, map[string]any{"pane": rec.Pane, "trace": rec.Trace})
 		return
 	}
 	id, err := strconv.Atoi(rest)
@@ -168,21 +168,37 @@ func (s *Server) handleTrace(t *tenant, rest string, w http.ResponseWriter, r *h
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad pane id %q", rest))
 		return
 	}
-	tr, ok := t.session.Trace(id)
+	rec, ok := o.Traces.Last(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no trace for pane %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"pane": id, "trace": tr})
+	writeJSON(w, http.StatusOK, map[string]any{"pane": id, "trace": rec.Trace})
 }
 
-// handleSlowLog returns the N slowest extractions (label, duration, trace),
-// slowest first.
+// slowRow is one /debug/slowlog row.
+type slowRow struct {
+	Label string          `json:"label"` // e.g. "pane 3 (fig3-6)"
+	DurMS float64         `json:"dur_ms"`
+	Seq   uint64          `json:"seq"` // store-wide admission order
+	Trace *obs.SpanExport `json:"trace,omitempty"`
+}
+
+// handleSlowLog returns the slowest retained extraction of each
+// pane+figure (label, duration, trace), slowest first.
 func (s *Server) handleSlowLog(t *tenant, w http.ResponseWriter, r *http.Request) {
 	o := t.session.Obs
 	if o == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("session has no observer"))
 		return
 	}
-	writeJSON(w, http.StatusOK, o.Slow.Entries())
+	recs := o.Traces.Slowest()
+	rows := make([]slowRow, len(recs))
+	for i, rec := range recs {
+		rows[i] = slowRow{
+			Label: fmt.Sprintf("pane %d (%s)", rec.Pane, rec.Figure),
+			DurMS: rec.DurMS, Seq: rec.Seq, Trace: rec.Trace,
+		}
+	}
+	writeJSON(w, http.StatusOK, rows)
 }

@@ -107,7 +107,12 @@ func TestDebugSlowLogEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var entries []obs.SlowEntry
+	var entries []struct {
+		Label string          `json:"label"`
+		DurMS float64         `json:"dur_ms"`
+		Seq   uint64          `json:"seq"`
+		Trace *obs.SpanExport `json:"trace"`
+	}
 	if err := json.Unmarshal(body, &entries); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -40,8 +39,7 @@ func (s *Server) handleFleetQuery(w http.ResponseWriter, r *http.Request) {
 	var q core.FleetQuery
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeJSON(w, r, &q) {
 			return
 		}
 	case http.MethodGet:

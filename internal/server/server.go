@@ -15,9 +15,11 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -246,6 +248,27 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxJSONBody caps every JSON request body. Requests carry a ViewCL
+// program, a command, a question or a query — kilobytes; the cap keeps one
+// oversized body from costing the whole process memory or stack.
+const maxJSONBody = 1 << 20
+
+// decodeJSON decodes the request body into v, answering 413 past
+// maxJSONBody and 400 for malformed JSON. It reports whether v was filled.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
+	return false
+}
+
 // vplotReq is the body of POST /api/vplot.
 type vplotReq struct {
 	Name    string `json:"name"`
@@ -259,8 +282,7 @@ func (s *Server) handleVPlot(t *tenant, w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req vplotReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	t.mu.Lock()
@@ -299,8 +321,7 @@ func (s *Server) handleVCtrl(t *tenant, w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req vctrlReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	t.mu.Lock()
@@ -326,8 +347,7 @@ func (s *Server) handleVChat(t *tenant, w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req vchatReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Pane == 0 {
@@ -394,9 +414,10 @@ func (s *Server) handlePanes(t *tenant, w http.ResponseWriter, r *http.Request) 
 func (s *Server) handlePane(t *tenant, w http.ResponseWriter, r *http.Request) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var id int
-	if _, err := fmt.Sscanf(r.URL.Query().Get("id"), "%d", &id); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad pane id"))
+	raw := r.URL.Query().Get("id")
+	id, err := strconv.Atoi(raw)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad pane id %q", raw))
 		return
 	}
 	if t.session.Tree == nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -111,6 +112,20 @@ func TestErrorResponses(t *testing.T) {
 		t.Errorf("index: %d", r.StatusCode)
 	}
 	r.Body.Close()
+
+	// Pane IDs parse strictly: trailing junk or a hex spelling is a bad
+	// request, never a lookup of some other pane.
+	post(t, ts, "/api/vplot", `{"figure":"7-1"}`)
+	for _, id := range []string{"1abc", "0x1", "", " 1"} {
+		r, _ = http.Get(ts.URL + "/api/pane?id=" + url.QueryEscape(id))
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("pane id %q: %d, want 400", id, r.StatusCode)
+		}
+		r.Body.Close()
+	}
+	if resp, _ := post(t, ts, "/api/vctrl", `{"command":"show 1abc"}`); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("vctrl show 1abc: %d, want 422", resp.StatusCode)
+	}
 }
 
 func mustJSON(v any) string {

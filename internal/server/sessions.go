@@ -1,14 +1,16 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
+	"syscall"
 
 	"visualinux/internal/core"
+	"visualinux/internal/coredump"
 	"visualinux/internal/kernelsim"
 )
 
@@ -54,8 +56,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req sessionCreateReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.ID == "" {
@@ -79,7 +80,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		Figures: req.Figures,
 	}
 	if req.Core != "" {
-		img, err := os.ReadFile(req.Core)
+		img, err := readCoreFile(req.Core)
 		if err != nil {
 			writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf("core dump: %w", err))
 			return
@@ -132,6 +133,30 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		resp["warning"] = err.Error()
 	}
 	writeJSON(w, http.StatusCreated, resp)
+}
+
+// readCoreFile reads a server-side dump file for the core attach path. The
+// path comes from the request, so it is opened without blocking (a FIFO
+// would otherwise hang the request until a writer appears), must be a
+// regular file (a device like /dev/zero never ends), and is read no further
+// than the largest dump the loader accepts.
+func readCoreFile(path string) ([]byte, error) {
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !st.Mode().IsRegular() {
+		return nil, fmt.Errorf("%s is not a regular file", path)
+	}
+	if st.Size() > coredump.MaxFileBytes {
+		return nil, fmt.Errorf("%s is %d bytes, over the %d-byte dump limit", path, st.Size(), coredump.MaxFileBytes)
+	}
+	return io.ReadAll(io.LimitReader(f, coredump.MaxFileBytes))
 }
 
 // handleSessionPath routes /sessions/{id} (info, delete) and

@@ -42,7 +42,7 @@ func (s *Server) StreamRound(step func() error) error {
 // then every pane whose version/epoch moved is serialized once per in-use
 // format and fanned out to the tenant's stream clients. The round's span
 // tree (step, per-pane serialization, per-client enqueue) is retained in
-// the TraceStore under stream.FanoutTracePane, and the metrics history
+// the TraceStore under obs.FanoutTracePane, and the metrics history
 // ring takes a snapshot on every round — stream health stays queryable
 // after the fact, independent of the periodic -metrics-interval timer.
 func (s *Server) streamRound(t *tenant, step func() error) error {
@@ -67,7 +67,7 @@ func (s *Server) streamRound(t *tenant, step func() error) error {
 		root.TagUint("clients", uint64(t.broker.ClientCount()))
 	}
 	if export := o.FinishTrace(tr); export != nil {
-		o.Traces.Record(stream.FanoutTracePane, "stream.fanout",
+		o.Traces.Record(obs.FanoutTracePane, "stream.fanout",
 			float64(fanout.Nanoseconds())/1e6, export)
 	}
 	if o != nil {

@@ -37,12 +37,6 @@ import (
 // should degrade to latest-wins snapshots rather than buffer history.
 const DefaultQueueCap = 16
 
-// FanoutTracePane is the reserved pane ID fan-out round span trees are
-// retained under in the TraceStore. Real panes are numbered from 1, so
-// the stream's per-round traces can share the store the vchat diagnosis
-// layer already reads without colliding with any extraction trace.
-const FanoutTracePane = -1
-
 // Frame is one pane delta: the serialized pane body at a specific
 // version/epoch, stamped with the broadcast sequence and publish time so
 // receivers can measure push lag and assert ordering.

@@ -89,12 +89,10 @@ func parsePane(low string) int {
 }
 
 // Observations is the retained data the diagnosis layer answers from. The
-// caller (core.Session) supplies the pane→figure mapping and the optional
-// steady-state baseline lookup; everything else comes from the observer.
+// caller (core.Session) supplies the optional steady-state baseline lookup;
+// everything else comes from the observer.
 type Observations struct {
 	Obs *obs.Observer
-	// Figure maps a pane ID to its figure/extraction name.
-	Figure func(pane int) (string, bool)
 	// Baseline returns the steady-state duration baseline for a figure in
 	// milliseconds (e.g. from BENCH_4.json), ok=false when unknown.
 	Baseline func(figure string) (float64, bool)

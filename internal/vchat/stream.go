@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"visualinux/internal/obs"
 	"visualinux/internal/stream"
 )
 
@@ -61,7 +62,7 @@ func (v Observations) StreamLag() (*StreamReport, error) {
 	})
 	if v.Obs != nil {
 		var durs []float64
-		for _, rec := range v.Obs.Traces.History(stream.FanoutTracePane) {
+		for _, rec := range v.Obs.Traces.History(obs.FanoutTracePane) {
 			durs = append(durs, rec.DurMS)
 		}
 		r.FanoutRounds = len(durs)

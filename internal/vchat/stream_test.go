@@ -44,7 +44,7 @@ func TestStreamLagReport(t *testing.T) {
 	}
 	// Retained fan-out rounds give the publisher-side p95.
 	for i := 0; i < 10; i++ {
-		o.Traces.Record(stream.FanoutTracePane, "stream.fanout", float64(i+1), &obs.SpanExport{Name: "stream.round", DurUS: int64(i+1) * 1000})
+		o.Traces.Record(obs.FanoutTracePane, "stream.fanout", float64(i+1), &obs.SpanExport{Name: "stream.round", DurUS: int64(i+1) * 1000})
 	}
 	v := Observations{Obs: o, Stream: func() *stream.Health { return health }}
 	r, err := v.StreamLag()
